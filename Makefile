@@ -59,11 +59,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/tree
-	$(GO) test -run='^$$' -fuzz=FuzzDistanceMetric -fuzztime=$(FUZZTIME) ./internal/profile
 	$(GO) test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/serve
 
 # Coverage gate: the packages that carry the correctness arguments
-# (distance algebra, lookup planning, the metric index, the serving
+# (distance algebra, lookup planning, the storage engines, the serving
 # tier) must not slip below their recorded floors.
 cover:
 	@set -e; \
@@ -95,11 +94,10 @@ bench-smoke:
 	$(GO) run ./cmd/pqbench -exp segments-smoke
 
 # Machine-readable perf snapshot: the instrumented micro suite of
-# cmd/pqbench plus the candidate-pruning threshold sweep, the top-k
-# metric-vs-exhaustive sweep, the serving-tier load phases and the
-# out-of-core segment sweep, written as BENCH_pr9.json (ns/op per
-# operation, the metric counters of the run, both planner curves, the
-# serve percentiles, and resident-memory / bloom-skip / latency per
-# segment count).
+# cmd/pqbench plus the candidate-pruning threshold sweep, the
+# serving-tier load phases and the out-of-core segment sweep, written as
+# BENCH_pr9.json (ns/op per operation, the metric counters of the run,
+# the planner curve, the serve percentiles, and resident-memory /
+# bloom-skip / latency per segment count).
 bench-json:
 	$(GO) run ./cmd/pqbench -exp micro -n 400 -json BENCH_pr9.json

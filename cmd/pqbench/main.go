@@ -15,7 +15,6 @@
 //	pqbench -exp ablate-pq           # (p,q) quality ablation
 //	pqbench -exp pruning             # candidate-pruning planner sweep
 //	pqbench -exp pruning-smoke       # CI guard: pruned must stay within 2x
-//	pqbench -exp topk                # top-k: VP-tree metric index vs exhaustive
 //	pqbench -exp serve               # serving tier: closed-loop mixed read/write load
 //	pqbench -exp serve-smoke         # CI guard: ~1s load run; cache must hit, no drops
 //	pqbench -exp segments            # out-of-core lookups: memtable + segments vs in-RAM
@@ -133,9 +132,6 @@ func run(exp string, scale float64, n int, seed int64, jsonPath string) error {
 		{"pruning", func() (*bench.Result, error) {
 			return firstErr(bench.Pruning(s(256), s(240000), 6, 3, bench.DefaultPruningTaus))
 		}},
-		{"topk", func() (*bench.Result, error) {
-			return firstErr(bench.TopK(16, 16, s(240000), 6, 3, bench.DefaultTopKKs))
-		}},
 		{"serve", func() (*bench.Result, error) {
 			res, phases, err := bench.Serve(s(256), 8, s(256))
 			if err != nil {
@@ -161,19 +157,14 @@ func run(exp string, scale float64, n int, seed int64, jsonPath string) error {
 				return nil, err
 			}
 			if jsonPath != "" {
-				// The machine-readable report also carries the pruning
-				// and top-k sweeps, so one artifact records the op
-				// timings and both planner speedup curves.
+				// The machine-readable report also carries the pruning,
+				// serving and segment sweeps, so one artifact records the
+				// op timings and the planner speedup curve.
 				pres, points, err := bench.Pruning(128, 120000, 6, 3, bench.DefaultPruningTaus)
 				if err != nil {
 					return nil, err
 				}
 				rep.Pruning = points
-				tres, tpoints, err := bench.TopK(16, 16, 240000, 6, 3, bench.DefaultTopKKs)
-				if err != nil {
-					return nil, err
-				}
-				rep.TopK = tpoints
 				sres, sphases, err := bench.Serve(256, 8, 256)
 				if err != nil {
 					return nil, err
@@ -189,9 +180,6 @@ func run(exp string, scale float64, n int, seed int64, jsonPath string) error {
 				}
 				fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
 				if err := pres.Print(os.Stdout); err != nil {
-					return nil, err
-				}
-				if err := tres.Print(os.Stdout); err != nil {
 					return nil, err
 				}
 				if err := sres.Print(os.Stdout); err != nil {

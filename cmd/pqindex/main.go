@@ -8,11 +8,11 @@
 //	pqindex remove -index idx.pqg -id doc.xml
 //	pqindex update -index idx.pqg -id doc.xml -log changes.log doc-new.xml
 //	pqindex lookup -index idx.pqg [-tau 0.5 | -top 5] query.xml [more.xml ...]
-//	pqindex topk   -index idx.pqg [-k 5] [-plan metric] query.xml [more.xml ...]
+//	pqindex topk   -index idx.pqg [-k 5] query.xml [more.xml ...]
 //	pqindex explain -index idx.pqg {-tau 0.5 | -k 5} [-plan auto] [-timings] [-json] query.xml
 //	pqindex dist   a.xml b.xml [-p 3 -q 3]
 //	pqindex info   -index idx.pqg
-//	pqindex compact -index idx.pqg [-metric]
+//	pqindex compact -index idx.pqg
 //
 // Documents are identified by the file path given at build/add time. The
 // update subcommand implements the paper's scenario: the index is
@@ -114,7 +114,6 @@ func openIndex(path string) (index, error) {
 func runCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	idxPath := fs.String("index", "", "index file")
-	metric := fs.Bool("metric", false, "also build the VP-tree metric index so compaction persists it (.vpt sidecar); later opens then restore it instead of rebuilding")
 	fs.Parse(args)
 	if *idxPath == "" {
 		return fmt.Errorf("compact needs -index")
@@ -124,16 +123,6 @@ func runCompact(args []string) error {
 		return err
 	}
 	defer st.Close()
-	if *metric {
-		// Any metric-planned lookup builds the VP-tree; the query document
-		// is irrelevant, only the build side effect matters.
-		warm, err := pqgram.ParseXMLString("<warmup/>")
-		if err != nil {
-			return err
-		}
-		st.Forest().SetPlanMode(pqgram.PlanMetric)
-		st.Forest().LookupTopK(warm, 1)
-	}
 	before, _ := st.JournalSize()
 	if err := st.Compact(); err != nil {
 		return err
@@ -143,11 +132,6 @@ func runCompact(args []string) error {
 	if seg, ok := st.(*pqgram.Segmented); ok {
 		ss := seg.Stats()
 		fmt.Printf("segments merged: now %d (%d bytes)\n", ss.Segments, ss.SegmentBytes)
-	}
-	if *metric && st.Forest().MetricReady() {
-		if _, ok := st.(*pqgram.Store); ok {
-			fmt.Println("metric index persisted (.vpt sidecar)")
-		}
 	}
 	return nil
 }
@@ -192,12 +176,6 @@ func printRecovery(r pqgram.RecoveryInfo) {
 	}
 	if r.JournalReset {
 		fmt.Printf("recovery: reset unrecognized journal (%d bytes discarded)\n", r.DiscardedBytes)
-	}
-	if r.MetricRestored {
-		fmt.Println("recovery: restored VP-tree metric index from its sidecar")
-	}
-	if r.MetricDiscarded {
-		fmt.Println("recovery: discarded stale or corrupt metric sidecar (top-k lookups rebuild it lazily)")
 	}
 }
 
@@ -406,7 +384,7 @@ func runLookup(args []string) error {
 	if *top > 0 {
 		results = make([][]pqgram.Match, len(queries))
 		for i, q := range queries {
-			results[i] = f.LookupTop(q, *top)
+			results[i] = f.LookupTopK(q, *top)
 		}
 	} else {
 		// Batched lookup: queries are profiled and matched concurrently.
@@ -426,18 +404,12 @@ func runLookup(args []string) error {
 	return nil
 }
 
-// runTopK answers k-nearest-neighbour queries. Unlike `lookup -top`,
-// which leaves the candidate strategy to the planner's default, it
-// exposes the plan choice: -plan metric descends the VP-tree metric
-// index (restored from the .vpt sidecar when the store has one, built
-// lazily otherwise), -plan exhaustive scores every document through the
-// postings, -plan auto lets the planner decide per query. Rankings are
-// identical in every mode; only the work differs.
+// runTopK answers k-nearest-neighbour queries: every document is scored
+// through the postings and the k best are printed, nearest first.
 func runTopK(args []string) error {
 	fs := flag.NewFlagSet("topk", flag.ExitOnError)
 	idxPath := fs.String("index", "", "index file")
 	k := fs.Int("k", 5, "number of nearest documents to return")
-	plan := fs.String("plan", "metric", "candidate strategy: metric, exhaustive or auto")
 	stats := fs.Bool("stats", false, "print an op report (metrics snapshot) to stderr when done")
 	fs.Parse(args)
 	if *idxPath == "" || fs.NArg() == 0 || *k < 1 {
@@ -452,17 +424,7 @@ func runTopK(args []string) error {
 		defer maybeReport(*stats, attachStats(st))
 	}
 	f := st.Forest()
-	switch *plan {
-	case "metric":
-		f.SetPlanMode(pqgram.PlanMetric)
-	case "exhaustive":
-		f.SetPlanMode(pqgram.PlanExhaustive)
-	case "auto":
-		f.SetPlanMode(pqgram.PlanAuto)
-	default:
-		return fmt.Errorf("topk: unknown -plan %q (want metric, exhaustive or auto)", *plan)
-	}
-	for i, path := range fs.Args() {
+	for _, path := range fs.Args() {
 		q, err := parseDoc(path)
 		if err != nil {
 			return err
@@ -476,11 +438,6 @@ func runTopK(args []string) error {
 		}
 		if len(matches) == 0 {
 			fmt.Println("no matches")
-		}
-		if i == 0 && *plan == "metric" && !f.MetricReady() {
-			// Can only happen if the build was raced away by Close;
-			// surface it rather than silently falling back forever.
-			fmt.Fprintln(os.Stderr, "topk: metric index not built; answered by exhaustive scan")
 		}
 	}
 	return nil

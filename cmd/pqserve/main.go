@@ -44,7 +44,7 @@ func main() {
 	syncWrites := flag.Bool("sync", false, "with -index: fsync every journaled mutation before acknowledging it")
 	segments := flag.Bool("segments", false, "with -index: create a segmented (out-of-core) store; existing indexes auto-detect their engine")
 	flushEvery := flag.Int("flush-every", 4096, "with -segments: flush the memtable to a segment after this many dirty documents (0 = never automatically)")
-	plan := flag.String("plan", "auto", "query planner mode: auto, exhaustive, pruned or metric")
+	plan := flag.String("plan", "auto", "query planner mode: auto, exhaustive or pruned")
 	cacheSize := flag.Int("cache", 1024, "result-cache capacity in entries (0 disables)")
 	maxInflight := flag.Int("max-inflight", 64, "concurrent lookups executing at once (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 256, "lookups allowed to wait for an in-flight slot before shedding")
@@ -56,11 +56,11 @@ func main() {
 
 	planModes := map[string]forest.PlanMode{
 		"auto": forest.PlanAuto, "exhaustive": forest.PlanExhaustive,
-		"pruned": forest.PlanPruned, "metric": forest.PlanMetric,
+		"pruned": forest.PlanPruned,
 	}
 	planMode, ok := planModes[*plan]
 	if !ok {
-		log.Fatalf("unknown -plan %q (want auto, exhaustive, pruned or metric)", *plan)
+		log.Fatalf("unknown -plan %q (want auto, exhaustive or pruned)", *plan)
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))

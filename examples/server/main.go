@@ -15,7 +15,7 @@
 //	DELETE /docs/{id}                              drop a document
 //	POST   /docs/{id}/edits    {"xml","ids","log"} incremental update
 //	POST   /lookup             {"xml","tau","top"} approximate lookup
-//	POST   /topk               {"xml","k"}         k nearest via the metric index
+//	POST   /topk               {"xml","k"}         k nearest trees
 //	POST   /explain            {"xml","tau","k"}   run a query traced; plan + work counters
 //	GET    /stats                                  index + serving-tier statistics
 //	GET    /debug/metrics                          live metrics snapshot (?format=prom for Prometheus text)
@@ -58,17 +58,17 @@ func main() {
 	syncWrites := flag.Bool("sync", false, "with -index: fsync every journaled mutation before acknowledging it")
 	segments := flag.Bool("segments", false, "with -index: create a segmented (out-of-core) store; existing indexes auto-detect their engine")
 	flushEvery := flag.Int("flush-every", 4096, "with -segments: flush the memtable to a segment after this many dirty documents (0 = never automatically)")
-	plan := flag.String("plan", "auto", "query planner mode: auto, exhaustive, pruned or metric")
+	plan := flag.String("plan", "auto", "query planner mode: auto, exhaustive or pruned")
 	cache := flag.Int("cache", 1024, "result-cache capacity in entries (0 disables)")
 	flag.Parse()
 
 	planModes := map[string]pqgram.PlanMode{
 		"auto": pqgram.PlanAuto, "exhaustive": pqgram.PlanExhaustive,
-		"pruned": pqgram.PlanPruned, "metric": pqgram.PlanMetric,
+		"pruned": pqgram.PlanPruned,
 	}
 	planMode, ok := planModes[*plan]
 	if !ok {
-		log.Fatalf("unknown -plan %q (want auto, exhaustive, pruned or metric)", *plan)
+		log.Fatalf("unknown -plan %q (want auto, exhaustive or pruned)", *plan)
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -153,8 +153,6 @@ func main() {
 		log.Printf("pq-gram index service listening on %s", *addr)
 		log.Fatal(http.ListenAndServe(*addr, srv))
 	}
-	// The demo showcases the metric path: /topk descends the VP-tree.
-	f.SetPlanMode(pqgram.PlanMetric)
 	runDemo(srv)
 }
 
@@ -245,11 +243,10 @@ func runDemo(h http.Handler) {
 		fmt.Printf("  %-8s %.3f\n", m.TreeID, m.Distance)
 	}
 
-	// Ask the metric endpoint for the two nearest neighbours; the demo
-	// forest runs in metric mode, so this descends the VP-tree.
+	// Ask the top-k endpoint for the two nearest neighbours.
 	tb, _ := json.Marshal(serve.TopKRequest{XML: mustXML(query), K: 2})
 	tout := client("POST", "/topk", tb)
-	fmt.Printf("top-%v via /topk (metric index built: %v):\n", tout["k"], tout["metric"])
+	fmt.Printf("top-%v via /topk:\n", tout["k"])
 	if ms, ok := tout["matches"].([]any); ok {
 		for _, m := range ms {
 			if mm, ok := m.(map[string]any); ok {

@@ -26,9 +26,10 @@ type MicroOp struct {
 // MicroReport is the machine-readable output of the micro suite:
 // wall-clock ns/op per operation, the full metrics snapshot the
 // instrumented run produced, (since v2) the candidate-pruning threshold
-// sweep of pruning.go and the top-k metric-vs-exhaustive sweep of
-// topk.go, (since v3) the serving-tier load phases of serve.go, and
-// (since v4) the out-of-core segment sweep of segments.go.
+// sweep of pruning.go, (since v3) the serving-tier load phases of
+// serve.go, and (since v4) the out-of-core segment sweep of segments.go.
+// Reports up to BENCH_pr9.json also carry a "topk" sweep of the VP-tree
+// metric index, which has since been removed.
 // This is the artifact `make bench-json` writes (BENCH_pr2.json through
 // BENCH_pr9.json), the repo's perf trajectory.
 type MicroReport struct {
@@ -43,7 +44,6 @@ type MicroReport struct {
 	Ops       []MicroOp       `json:"ops,omitempty"`
 	Metrics   obs.Snapshot    `json:"metrics"`
 	Pruning   []PruningPoint  `json:"pruning,omitempty"`  // pruned-vs-exhaustive lookup sweep
-	TopK      []TopKPoint     `json:"topk,omitempty"`     // metric-vs-exhaustive top-k sweep
 	Serve     []ServePhase    `json:"serve,omitempty"`    // serving-tier closed-loop load phases
 	Segments  []SegmentsPoint `json:"segments,omitempty"` // out-of-core segment sweep
 }

@@ -88,7 +88,7 @@ func TestForestConcurrentMix(t *testing.T) {
 				case 0:
 					f.Lookup(query, 0.9)
 				case 1:
-					f.LookupTop(query, 3)
+					f.LookupTopK(query, 3)
 				case 2:
 					// A concurrently removed tree is a legal miss.
 					f.Distance(ids[rng.Intn(nDocs)], ids[rng.Intn(nDocs)])
@@ -321,7 +321,7 @@ func TestPutReplacesAtomically(t *testing.T) {
 	if err := f.SelfCheck(); err != nil {
 		t.Fatal(err)
 	}
-	if top := f.LookupTop(repl, 1); len(top) != 1 || top[0].Distance != 0 {
+	if top := f.LookupTopK(repl, 1); len(top) != 1 || top[0].Distance != 0 {
 		t.Fatalf("lookup after Put = %+v", top)
 	}
 }

@@ -144,12 +144,6 @@ type Index struct {
 	// completed mutation.
 	epoch atomic.Uint64
 
-	// metric is the VP-tree top-k index (metric.go). It starts unbuilt
-	// and free; once built it is maintained incrementally by every
-	// mutation. Its lock nests strictly after the registry, entry and
-	// shard locks.
-	metric metricIndex
-
 	// tier is the storage tier serving evicted documents (tier.go), nil
 	// when every document is resident. Attached once at open time by the
 	// segmented store.
@@ -158,15 +152,11 @@ type Index struct {
 
 // The package's lock-acquisition order, enforced by the lockorder
 // analyzer. The registry lock is always outermost, per-document bag
-// locks nest inside it, postings stripes inside those, and the metric
-// index's lock is innermost on the mutation path (it is never held
-// while acquiring any other forest lock). Multi-instance acquisitions
-// of the same class (two bag locks in Distance, the pairwise join) are
-// sanctioned separately: always in ascending tree-ID order.
+// locks nest inside it, and postings stripes inside those. Multi-instance
+// acquisitions of the same class (two bag locks in Distance, the pairwise
+// join) are sanctioned separately: always in ascending tree-ID order.
 //
 //pqlint:lockorder Index.mu < treeEntry.mu < shard.mu
-//pqlint:lockorder treeEntry.mu < metricIndex.mu
-//pqlint:lockorder Index.mu < metricIndex.mu
 
 // New creates an empty forest index with the given pq-gram parameters.
 func New(pr profile.Params) *Index {
@@ -261,7 +251,6 @@ func (f *Index) addIndexLocked(id string, idx profile.Index) error {
 	for lt, c := range idx {
 		f.shardOf(lt).add(lt, id, c)
 	}
-	f.metric.add(id, idx)
 	f.epoch.Add(1)
 	if m := f.obs.Load(); m != nil {
 		m.adds.Inc()
@@ -286,7 +275,6 @@ func (f *Index) removeLocked(id string) error {
 		f.shardOf(lt).remove(lt, id)
 	}
 	delete(f.trees, id)
-	f.metric.remove(id)
 	f.epoch.Add(1)
 	if m := f.obs.Load(); m != nil {
 		m.removes.Inc()
@@ -494,10 +482,7 @@ func (f *Index) applyDeltasEntry(e *treeEntry, id string, iPlus, iMinus profile.
 		s.add(lt, id, c)
 		s.mu.Unlock()
 	}
-	// The metric copy is maintained while e.mu is still held, so deltas to
-	// the same document reach the metric index in the order they reached
-	// the bag.
-	return f.metric.applyDeltas(id, iPlus, iMinus)
+	return nil
 }
 
 // SelfCheck verifies the internal consistency of the index: the inverted
@@ -561,11 +546,6 @@ func (f *Index) SelfCheck() error {
 	}
 	if total != len(want) {
 		return fmt.Errorf("forest: %d posting keys, want %d", total, len(want))
-	}
-	if f.metric.built {
-		if err := f.metricSelfCheckLocked(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -686,11 +666,90 @@ func (f *Index) lookupExhaustiveLocked(q profile.Index, qSize int, tau float64, 
 	return out
 }
 
-// LookupTop returns the k nearest trees by pq-gram distance (fewer if the
-// forest is smaller), sorted by ascending distance. It is LookupTopK
-// under the planner's candidate strategy; see metric.go.
-func (f *Index) LookupTop(query *tree.Tree, k int) []Match {
+// LookupNearest returns the single nearest indexed tree to the query by
+// pq-gram distance (ties by smallest ID), or ok=false on an empty forest.
+func (f *Index) LookupNearest(query *tree.Tree) (Match, bool) {
+	out := f.LookupIndexTopK(profile.BuildIndex(query, f.pr), 1)
+	if len(out) == 0 {
+		return Match{}, false
+	}
+	return out[0], true
+}
+
+// LookupTopK returns the k indexed trees nearest to the query by pq-gram
+// distance (fewer if the forest is smaller), sorted by ascending distance
+// with ties broken by ID. Every plan mode answers it with the same
+// exhaustive postings scan.
+func (f *Index) LookupTopK(query *tree.Tree, k int) []Match {
 	return f.LookupIndexTopK(profile.BuildIndex(query, f.pr), k)
+}
+
+// LookupIndexTopK is LookupTopK for a precomputed query index.
+func (f *Index) LookupIndexTopK(q profile.Index, k int) []Match {
+	m := f.obs.Load()
+	var sp *obs.Span
+	if m != nil {
+		sp = m.col.StartTrace("forest.topk")
+	}
+	out := f.lookupIndexTopKSpanned(q, k, m, sp)
+	sp.Finish()
+	return out
+}
+
+// lookupIndexTopKSpanned is the LookupIndexTopK body with the trace span
+// threaded through; see lookupIndexSpanned. Its plan is always
+// planExhaustive.
+func (f *Index) lookupIndexTopKSpanned(q profile.Index, k int, m *metrics, sp *obs.Span) []Match {
+	var t0 time.Time
+	if m != nil {
+		t0 = time.Now()
+	}
+	qSize := q.Size()
+	f.mu.RLock()
+	if k <= 0 || len(f.trees) == 0 {
+		f.mu.RUnlock()
+		return nil
+	}
+	sp.SetAttr("q_size", int64(qSize))
+	sp.SetAttr("trees", int64(len(f.trees)))
+	sp.SetAttr("k", int64(k))
+	out := f.lookupTopExhaustiveLocked(q, qSize, k, m, sp)
+	f.mu.RUnlock()
+	sp.SetAttr("plan", int64(planCode(planExhaustive)))
+	sp.SetAttr("matches", int64(len(out)))
+	if m != nil {
+		m.lookups.Inc()
+		m.topkLookups.Inc()
+		m.lookupMatches.Add(int64(len(out)))
+		m.lookupNS.ObserveSince(t0)
+	}
+	return out
+}
+
+// lookupTopExhaustiveLocked scores every indexed tree through the
+// postings and keeps the k best. Requires f.mu held (read suffices) and
+// k > 0.
+//
+//pqlint:locked f.mu:r
+func (f *Index) lookupTopExhaustiveLocked(q profile.Index, qSize, k int, m *metrics, sp *obs.Span) []Match {
+	scan := sp.Child("scan")
+	overlaps, scanned := f.overlapsLocked(q)
+	f.tierOverlapsLocked(q, overlaps, m, sp)
+	scan.SetAttr("postings_scanned", scanned)
+	scan.SetAttr("candidates", int64(len(f.trees)))
+	defer scan.Finish()
+	if m != nil {
+		m.lookupCandidates.Add(int64(len(f.trees)))
+	}
+	out := make([]Match, 0, len(f.trees))
+	for id, e := range f.trees {
+		out = append(out, Match{TreeID: id, Distance: distanceFrom(qSize, int(e.size.Load()), overlaps[id])})
+	}
+	sortMatches(out)
+	if k < len(out) {
+		out = out[:k]
+	}
+	return out
 }
 
 // overlapsLocked accumulates |I(query) ∩ I(T)| per tree via the postings.

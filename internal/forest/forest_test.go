@@ -119,7 +119,7 @@ func TestLookupSelfIsClosest(t *testing.T) {
 		trees[fmt.Sprintf("other-%d", i)] = p
 	}
 	f := buildForest(t, trees)
-	top := f.LookupTop(base, 1)
+	top := f.LookupTopK(base, 1)
 	if len(top) != 1 || top[0].TreeID != "self" || top[0].Distance != 0 {
 		t.Fatalf("top = %+v, want self at distance 0", top)
 	}
@@ -131,7 +131,7 @@ func TestLookupTopK(t *testing.T) {
 		"y": tree.MustParse("a(b d)"),
 		"z": tree.MustParse("q(w e)"),
 	})
-	top := f.LookupTop(tree.MustParse("a(b c)"), 2)
+	top := f.LookupTopK(tree.MustParse("a(b c)"), 2)
 	if len(top) != 2 {
 		t.Fatalf("got %d results", len(top))
 	}
@@ -141,7 +141,7 @@ func TestLookupTopK(t *testing.T) {
 	if top[1].TreeID != "y" {
 		t.Fatalf("top2 = %+v", top[1])
 	}
-	all := f.LookupTop(tree.MustParse("a(b c)"), 99)
+	all := f.LookupTopK(tree.MustParse("a(b c)"), 99)
 	if len(all) != 3 {
 		t.Fatalf("LookupTop with large k returned %d", len(all))
 	}
@@ -213,7 +213,7 @@ func TestUpdateMaintainsForest(t *testing.T) {
 		}
 		// Postings must be consistent: lookup of the current document
 		// returns itself at distance 0.
-		top := f.LookupTop(doc, 1)
+		top := f.LookupTopK(doc, 1)
 		if len(top) != 1 || top[0].TreeID != "doc" || top[0].Distance != 0 {
 			t.Fatalf("round %d: lookup after update = %+v", round, top)
 		}
@@ -249,7 +249,7 @@ func TestEmptyForestLookup(t *testing.T) {
 	if got := f.Lookup(tree.MustParse("a"), 0.5); len(got) != 0 {
 		t.Fatalf("lookup on empty forest = %v", got)
 	}
-	if got := f.LookupTop(tree.MustParse("a"), 3); len(got) != 0 {
+	if got := f.LookupTopK(tree.MustParse("a"), 3); len(got) != 0 {
 		t.Fatalf("top on empty forest = %v", got)
 	}
 }

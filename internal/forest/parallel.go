@@ -106,7 +106,6 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 		e := &treeEntry{idx: bags[i]}
 		e.size.Store(int64(bags[i].Size()))
 		f.trees[id] = e
-		f.metric.add(id, bags[i])
 	}
 	// One epoch advance per added document, matching the serial path, so
 	// result caches see the same invalidation cadence either way.

@@ -16,9 +16,8 @@
 // differential tests in internal/store hold the whole stack to that).
 //
 // Eviction and promotion swap a document between the populations without
-// changing its content, so they advance no epoch and leave the metric
-// index untouched (it owns cloned bags). Both run under the registry
-// write lock together with the store's own bookkeeping (the swap
+// changing its content, so they advance no epoch. Both run under the
+// registry write lock together with the store's own bookkeeping (the swap
 // callback), which makes the tier handoff atomic with respect to every
 // lookup: no lookup can observe a document in both tiers or in neither.
 package forest
@@ -164,7 +163,7 @@ func (f *Index) Evict(ids []string, swap func()) error {
 // under the registry write lock after the postings are re-added; the
 // store uses it to drop its tier location and tombstone the stale segment
 // copy, so no lookup can count the document twice. Like Evict, promotion
-// changes no content: no epoch advance, no metric maintenance.
+// changes no content: no epoch advance.
 func (f *Index) Promote(id string, bag profile.Index, swap func()) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -192,17 +191,12 @@ func (f *Index) Promote(id string, bag profile.Index, swap func()) error {
 
 // AddEvicted registers a document that already lives in the tier, storing
 // only its cached size and distinct-tuple count — the segmented store's
-// open path uses it to rebuild the registry without reading any bag. It
-// is an open-time operation: it fails once the metric index is built,
-// because the metric needs the bag at insert time.
+// open path uses it to rebuild the registry without reading any bag.
 func (f *Index) AddEvicted(id string, size, distinct int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.trees[id]; ok {
 		return fmt.Errorf("forest: tree %q already indexed", id)
-	}
-	if f.metric.built {
-		return fmt.Errorf("forest: cannot add evicted %q with the metric index built", id)
 	}
 	e := &treeEntry{}
 	e.size.Store(int64(size))

@@ -154,12 +154,11 @@ func TestTierLookupDifferential(t *testing.T) {
 	}
 }
 
-// TestTierTopKDifferential covers the exhaustive top-k scan over a tier
-// and the metric build that fetches evicted bags through the tier.
+// TestTierTopKDifferential covers the top-k postings scan over a tier.
 func TestTierTopKDifferential(t *testing.T) {
 	docs := gen.XMarkForest(11, 32, 3200)
 	resident, tiered, _, _ := tieredCopy(t, docs)
-	for _, mode := range []forest.PlanMode{forest.PlanExhaustive, forest.PlanMetric} {
+	for _, mode := range []forest.PlanMode{forest.PlanExhaustive, forest.PlanAuto} {
 		resident.SetPlanMode(mode)
 		tiered.SetPlanMode(mode)
 		for _, k := range []int{1, 5, 100} {
@@ -170,16 +169,8 @@ func TestTierTopKDifferential(t *testing.T) {
 			}
 		}
 	}
-	if !tiered.MetricReady() {
-		t.Fatal("metric index not built by PlanMetric top-k over a tier")
-	}
-	// The metric build cloned every bag (tier copies included), so the
-	// forest must still self-check, and AddEvicted must now refuse.
 	if err := tiered.SelfCheck(); err != nil {
 		t.Fatal(err)
-	}
-	if err := tiered.AddEvicted("late", 10, 5); err == nil || !strings.Contains(err.Error(), "metric index built") {
-		t.Fatalf("AddEvicted after metric build: %v", err)
 	}
 }
 

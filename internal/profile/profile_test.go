@@ -270,6 +270,22 @@ func TestDistanceSymmetricAndBounded(t *testing.T) {
 	}
 }
 
+// TestNormalizedDistanceIsNotAMetric pins three bags for which the
+// normalized pq-gram distance violates the triangle inequality, which is
+// why no metric-tree pruning may be built on it directly.
+func TestNormalizedDistanceIsNotAMetric(t *testing.T) {
+	a := profile.Index{profile.TupleOfLabels("a", "a", "a"): 1}
+	b := profile.Index{profile.TupleOfLabels("b", "b", "b"): 1}
+	c := profile.Index{
+		profile.TupleOfLabels("a", "a", "a"): 1,
+		profile.TupleOfLabels("b", "b", "b"): 1,
+	}
+	dab, dac, dcb := a.Distance(b), a.Distance(c), c.Distance(b)
+	if dab <= dac+dcb {
+		t.Fatalf("expected a triangle violation, got %v ≤ %v + %v", dab, dac, dcb)
+	}
+}
+
 func TestDistanceDecreasesWithSmallEdit(t *testing.T) {
 	// An edited tree should be closer to the original than an unrelated one.
 	rng := rand.New(rand.NewSource(9))

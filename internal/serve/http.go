@@ -10,7 +10,7 @@
 //	DELETE /docs/{id}                                     drop a document
 //	POST   /docs/{id}/edits    {"xml","ids","log"}        incremental update
 //	POST   /lookup             {"xml","tau","top","plan"} approximate lookup
-//	POST   /topk               {"xml","k","plan"}         k nearest via the planner
+//	POST   /topk               {"xml","k","plan"}         k nearest trees
 //	POST   /explain            {"xml","tau","k"}          run a query traced; plan + work counters
 //	GET    /stats                                         index + serving-tier statistics
 //	GET    /debug/metrics                                 live metrics snapshot (?format=prom)
@@ -179,8 +179,6 @@ func parsePlan(name string) (forest.PlanMode, bool) {
 		return forest.PlanExhaustive, true
 	case "pruned":
 		return forest.PlanPruned, true
-	case "metric":
-		return forest.PlanMetric, true
 	}
 	return 0, false
 }
@@ -196,7 +194,7 @@ func (s *Server) applyPlan(w http.ResponseWriter, name string) bool {
 	mode, ok := parsePlan(name)
 	if !ok {
 		httpError(w, http.StatusBadRequest,
-			"unknown plan %q (want auto, exhaustive, pruned or metric)", name)
+			"unknown plan %q (want auto, exhaustive or pruned)", name)
 		return false
 	}
 	s.forest.SetPlanMode(mode)
@@ -228,7 +226,7 @@ func cacheHeader(res Result) string {
 
 // LookupRequest is the body of POST /lookup. Tau > 0 runs a threshold
 // lookup; Top > 0 instead returns the Top nearest trees. Plan optionally
-// switches the planner mode (auto, exhaustive, pruned, metric).
+// switches the planner mode (auto, exhaustive, pruned).
 type LookupRequest struct {
 	XML  string  `json:"xml"`
 	Tau  float64 `json:"tau"`
@@ -284,11 +282,8 @@ type TopKRequest struct {
 	Plan string `json:"plan,omitempty"`
 }
 
-// handleTopK answers k-nearest-neighbour queries. The candidate strategy
-// is the planner's: in metric mode the first query builds the VP-tree
-// metric index, which is then maintained incrementally by every mutation;
-// the response reports whether it is built so operators can see which
-// path answered.
+// handleTopK answers k-nearest-neighbour queries through the forest's
+// postings scan.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -326,7 +321,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"k":       req.K,
 		"matches": matches,
-		"metric":  s.forest.MetricReady(),
 	})
 }
 

@@ -113,15 +113,6 @@ func crashWorkload(t *testing.T, s *Store, seed int64) []crashMark {
 		switch {
 		case op <= 6: // seed the forest
 			add()
-			if op == 6 {
-				// Force the VP-tree up: every later mutation now maintains
-				// it, and the forced Compacts below persist its sidecar —
-				// putting the .vpt write protocol inside the crash window.
-				s.Forest().SetPlanMode(forest.PlanMetric)
-				if ms := s.Forest().LookupTopK(gen.XMark(991, 40), 3); len(ms) == 0 {
-					t.Fatal("metric warm-up lookup returned nothing")
-				}
-			}
 		case op == 20 || op == 40: // forced compactions mid-stream
 			if err := s.Compact(); err != nil {
 				t.Fatalf("op %d compact: %v", op, err)
@@ -281,31 +272,19 @@ func runCrashHarness(t *testing.T, syncMode bool, seed int64) {
 			t.Fatalf("%s: SimilarityJoin diverges after recovery: %v vs %v", name, got, want)
 		}
 
-		// Top-k differential across recovery: whether the VP-tree sidecar
-		// survived the cut, was discarded as stale, or never existed, a
-		// metric-planned top-k on the recovered store must equal the
-		// exhaustive scan over the rebuilt-from-scratch forest. SelfCheck
-		// above already validated a restored sidecar's structure; this
-		// proves its answers.
-		ri := rs.Recovery()
-		if ri.MetricRestored && ri.MetricDiscarded {
-			t.Fatalf("%s: sidecar both restored and discarded: %+v", name, ri)
-		}
-		rs.Forest().SetPlanMode(forest.PlanMetric)
+		// Top-k differential across recovery: the recovered store under
+		// the default plan must equal the exhaustive scan over the
+		// rebuilt-from-scratch forest.
 		rebuilt.SetPlanMode(forest.PlanExhaustive)
 		if got, want := rs.Forest().LookupTopK(query, 5), rebuilt.LookupTopK(query, 5); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: LookupTopK diverges after recovery (restored=%v): %v vs %v",
-				name, ri.MetricRestored, got, want)
-		}
-		if err := rs.Forest().SelfCheck(); err != nil {
-			t.Fatalf("%s: forest corrupt after metric top-k: %v", name, err)
+			t.Fatalf("%s: LookupTopK diverges after recovery: %v vs %v", name, got, want)
 		}
 
 		// Recovery accounting must be internally consistent.
 		if js, err := rs.JournalSize(); err != nil || js < journalHeaderLen {
 			t.Fatalf("%s: journal size %d, %v", name, js, err)
 		}
-		if ri.TornBytes < 0 || ri.Records < 0 || ri.Bytes < 0 {
+		if ri := rs.Recovery(); ri.TornBytes < 0 || ri.Records < 0 || ri.Bytes < 0 {
 			t.Fatalf("%s: negative recovery stats: %+v", name, ri)
 		}
 		if err := rs.Close(); err != nil {
@@ -342,12 +321,6 @@ func TestCrashDuringRecovery(t *testing.T) {
 	}
 	if _, err := s.Update("a", doc, log); err != nil {
 		t.Fatal(err)
-	}
-	// Build the VP-tree so the Compact below also writes its sidecar and
-	// the double-crash sweep crosses the .vpt replace protocol too.
-	s.Forest().SetPlanMode(forest.PlanMetric)
-	if _, ok := s.Forest().LookupNearest(doc); !ok {
-		t.Fatal("metric warm-up lookup found nothing")
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)

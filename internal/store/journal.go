@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -98,9 +97,6 @@ type RecoveryInfo struct {
 	JournalReset   bool  // header missing or foreign; journal reinitialized
 	DiscardedBytes int64 // bytes thrown away by a stale/reset discard
 
-	MetricRestored  bool // VP-tree sidecar loaded and reattached to the base
-	MetricDiscarded bool // a sidecar existed but was stale or corrupt; dropped
-
 	Duration time.Duration // wall time of the replay
 }
 
@@ -154,21 +150,6 @@ func OpenStoreFS(fsys fsio.FS, path string) (*Store, error) {
 	}
 
 	var info RecoveryInfo
-	// Reattach the persisted VP-tree before replaying the journal: the
-	// sidecar covers exactly the base snapshot, and replayed records then
-	// maintain the restored structure incrementally. Any failure — no
-	// sidecar, one bound to another base, torn bytes, a dump that no
-	// longer matches the base — just means the metric index rebuilds
-	// lazily on the next top-k lookup; correctness never depends on it.
-	if dump, merr := loadMetricFile(fsys, path, baseCRC); merr == nil {
-		if f.MetricRestore(dump) == nil {
-			info.MetricRestored = true
-		} else {
-			info.MetricDiscarded = true
-		}
-	} else if !errors.Is(merr, os.ErrNotExist) {
-		info.MetricDiscarded = true
-	}
 	valid := int64(journalHeaderLen)
 	reinit := false
 	switch {
@@ -392,16 +373,6 @@ func (s *Store) Compact() error {
 			return fmt.Errorf("store: compact: base replaced but not settled: %w", err)
 		}
 		return err // old base + intact journal: nothing lost
-	}
-	// Persist the VP-tree (if built) bound to the new base. The sidecar is
-	// an optimization: base and journal are already consistent, and
-	// whatever a failed save leaves behind names the wrong base or fails
-	// its checksum, so OpenStore discards it and the metric index rebuilds
-	// lazily — Compact itself still succeeds.
-	if dump := s.forest.MetricDump(); dump != nil {
-		if merr := saveMetricFile(s.fs, s.path, crc, dump); merr != nil && m != nil {
-			m.col.Event("metric sidecar save failed", "path", metricPath(s.path), "err", merr.Error())
-		}
 	}
 	if err := s.resetJournal(crc); err != nil {
 		s.failed = err

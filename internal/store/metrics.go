@@ -100,8 +100,6 @@ func (s *Store) SetCollector(c *obs.Collector) {
 			sp.SetAttr("discarded_bytes", r.DiscardedBytes)
 			sp.SetAttr("stale_journal", boolAttr(r.StaleJournal))
 			sp.SetAttr("journal_reset", boolAttr(r.JournalReset))
-			sp.SetAttr("metric_restored", boolAttr(r.MetricRestored))
-			sp.SetAttr("metric_discarded", boolAttr(r.MetricDiscarded))
 			sp.FinishWithDuration(r.Duration)
 			tr.Publish(obs.TraceSnapshot{Root: sp.Snapshot()})
 		}

@@ -73,14 +73,6 @@ func segCrashWorkload(t *testing.T, s *Segmented, seed int64) []crashMark {
 		switch {
 		case op <= 5: // seed the memtable (threshold 4 ⇒ an auto-flush here)
 			add()
-			if op == 5 {
-				// Force the VP-tree up so every later mutation — including
-				// eviction and promotion — maintains it inside the crash window.
-				s.Forest().SetPlanMode(forest.PlanMetric)
-				if ms := s.Forest().LookupTopK(gen.XMark(991, 40), 3); len(ms) == 0 {
-					t.Fatal("metric warm-up lookup returned nothing")
-				}
-			}
 		case op == 12 || op == 24: // forced flush mid-stream
 			if err := s.Flush(); err != nil {
 				t.Fatalf("op %d flush: %v", op, err)
@@ -200,7 +192,6 @@ func runSegCrashHarness(t *testing.T, syncMode bool, seed int64) {
 		if got, want := rs.Forest().SimilarityJoinWorkers(0.8, 2), rebuilt.SimilarityJoinWorkers(0.8, 2); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: SimilarityJoin diverges after recovery: %v vs %v", name, got, want)
 		}
-		rs.Forest().SetPlanMode(forest.PlanMetric)
 		rebuilt.SetPlanMode(forest.PlanExhaustive)
 		if got, want := rs.Forest().LookupTopK(query, 5), rebuilt.LookupTopK(query, 5); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: LookupTopK diverges after recovery: %v vs %v", name, got, want)

@@ -33,15 +33,13 @@ func diffQueries(t *testing.T, tag string, seg, ref *forest.Index, queries []*tr
 				t.Fatalf("%s: Lookup(q%d, %.1f) diverges:\n got %v\nwant %v", tag, qi, tau, got, want)
 			}
 		}
-		if got, want := seg.LookupTop(q, 4), ref.LookupTop(q, 4); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: LookupTop(q%d) diverges:\n got %v\nwant %v", tag, qi, got, want)
+		if got, want := seg.LookupTopK(q, 4), ref.LookupTopK(q, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: LookupTopK(q%d) diverges:\n got %v\nwant %v", tag, qi, got, want)
 		}
-		seg.SetPlanMode(forest.PlanMetric)
 		ref.SetPlanMode(forest.PlanExhaustive)
 		if got, want := seg.LookupTopK(q, 5), ref.LookupTopK(q, 5); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: LookupTopK(q%d) diverges:\n got %v\nwant %v", tag, qi, got, want)
 		}
-		seg.SetPlanMode(forest.PlanAuto)
 		ref.SetPlanMode(forest.PlanAuto)
 	}
 	if got, want := seg.SimilarityJoinWorkers(0.8, 2), ref.SimilarityJoinWorkers(0.8, 2); !reflect.DeepEqual(got, want) {
